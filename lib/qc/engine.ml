@@ -158,11 +158,11 @@ module Packed_backend = struct
 
   let range = Query.range_result_packed
 
+  (* a binary search on the image's iceberg index; only the k answers are
+     materialised *)
   let iceberg t func ~threshold =
     let out = ref [] in
-    Packed.iter_classes
-      (fun _ cell agg -> if Agg.value func agg >= threshold then out := (cell, agg) :: !out)
-      t;
+    Packed.iter_at_least (fun cell agg -> out := (cell, agg) :: !out) t func ~threshold;
     Ok (List.sort by_cell !out)
 
   let explain t cell =

@@ -33,6 +33,12 @@ type t = {
   hash_mask : int;
   hash_key : int array;  (* -1 = empty slot *)
   hash_dst : int array;
+  (* Iceberg index, one slot per aggregate function: the class nodes in
+     ascending order of that function's value, NaN values left out.  Built
+     by the first iceberg that asks for the function and published through
+     the Atomic, so worker domains share it read-only.  Domains racing on
+     the first build each publish an identical array; either may win. *)
+  by_value : int array option Atomic.t array;
 }
 
 let key_of dim label = (dim lsl 20) lor label
@@ -58,17 +64,12 @@ let label t n = t.label.(n)
 
 let parent t n = t.parent.(n)
 
+let class_agg t c =
+  { Agg.count = t.agg_count.(c); sum = t.agg_sum.(c); min = t.agg_min.(c); max = t.agg_max.(c) }
+
 let agg t n =
-  let a = t.agg_id.(n) in
-  if a < 0 then None
-  else
-    Some
-      {
-        Agg.count = t.agg_count.(a);
-        sum = t.agg_sum.(a);
-        min = t.agg_min.(a);
-        max = t.agg_max.(a);
-      }
+  let c = t.agg_id.(n) in
+  if c < 0 then None else Some (class_agg t c)
 
 let has_agg t n = t.agg_id.(n) >= 0
 
@@ -141,9 +142,55 @@ let node_cell t n =
   up n;
   cell
 
-let iter_classes f t =
-  for n = 0 to n_nodes t - 1 do
-    match agg t n with Some a -> f n (node_cell t n) a | None -> ()
+(* ---------- the iceberg index ---------- *)
+
+let func_slot = function Agg.Count -> 0 | Sum -> 1 | Avg -> 2 | Min -> 3 | Max -> 4
+
+let node_value t func n = Agg.value func (class_agg t t.agg_id.(n))
+
+(* One pass over the nodes into flat node/value arrays, then one sort. *)
+let build_index t func =
+  let k = ref 0 in
+  let nodes = Array.make (n_classes t) 0 and values = Array.make (n_classes t) 0.0 in
+  Array.iteri
+    (fun n c ->
+      if c >= 0 then begin
+        let v = Agg.value func (class_agg t c) in
+        if not (Float.is_nan v) then begin
+          nodes.(!k) <- n;
+          values.(!k) <- v;
+          incr k
+        end
+      end)
+    t.agg_id;
+  let order = Array.init !k Fun.id in
+  Array.stable_sort (fun i j -> Float.compare values.(i) values.(j)) order;
+  Array.map (fun i -> nodes.(i)) order
+
+let index t func =
+  let slot = t.by_value.(func_slot func) in
+  match Atomic.get slot with
+  | Some idx -> idx
+  | None ->
+    let idx = build_index t func in
+    Atomic.set slot (Some idx);
+    idx
+
+(* First position whose value is at least [threshold].  Without NaN values
+   in the index, [v >= threshold] is monotone along it; a NaN threshold,
+   which no value meets, lands past the end. *)
+let rec lower_bound t func idx lo hi threshold =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if node_value t func idx.(mid) >= threshold then lower_bound t func idx lo mid threshold
+    else lower_bound t func idx (mid + 1) hi threshold
+
+let iter_at_least f t func ~threshold =
+  let idx = index t func in
+  for i = lower_bound t func idx 0 (Array.length idx) threshold to Array.length idx - 1 do
+    let n = idx.(i) in
+    f (node_cell t n) (class_agg t t.agg_id.(n))
   done
 
 (* Size under the shared byte-cost model of [Qc_tree.bytes], so packed and
@@ -388,6 +435,7 @@ let of_arrays ~schema ~dim ~label ~parent ~aggs ~links =
     hash_mask;
     hash_key;
     hash_dst;
+    by_value = Array.init 5 (fun _ -> Atomic.make None);
   }
 
 (* ---------- freeze / thaw ---------- *)

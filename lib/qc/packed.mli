@@ -90,9 +90,16 @@ val iter_links : (int -> int -> int -> unit) -> t -> int -> unit
 val node_cell : t -> int -> Cell.t
 (** Reconstruct the cell spelled by the root-to-node path. *)
 
-val iter_classes : (int -> Cell.t -> Agg.t -> unit) -> t -> unit
-(** Visit every class node (in preorder) with its upper bound and
-    aggregate. *)
+val iter_at_least : (Cell.t -> Agg.t -> unit) -> t -> Agg.func -> threshold:float -> unit
+(** [iter_at_least f t func ~threshold] calls [f] with the upper bound and
+    aggregate of every class whose [Agg.value func] is at least
+    [threshold], in ascending value order.  A class whose value is NaN
+    never qualifies, and nothing meets a NaN threshold.
+
+    The first call for a [func] builds that function's index: the class
+    nodes sorted by value, one pass and one sort, 8 bytes per class.  It is
+    kept with the image and shared by every domain, so later calls cost a
+    binary search plus the k answers. *)
 
 (** {1 Statistics} *)
 
@@ -108,7 +115,8 @@ val bytes : t -> int
 
 val resident_bytes : t -> int
 (** Actual size of the flat columns (8 bytes per array slot) — what the
-    packed representation costs in memory, reported by the benchmarks. *)
+    packed representation costs in memory, reported by the benchmarks.
+    Excludes the iceberg indexes {!iter_at_least} builds on demand. *)
 
 (** {1 Raw column view}
 

@@ -205,12 +205,6 @@ let queries_of_lines schema text =
   in
   go 1 [] (String.split_on_char '\n' text)
 
-(* Shortest float spelling that parses back to the same bits — iceberg
-   thresholds must survive [of_line ∘ to_line]. *)
-let float_exact f =
-  let short = Printf.sprintf "%g" f in
-  if Float.equal (float_of_string short) f then short else Printf.sprintf "%.17g" f
-
 let cell_field schema i code = if code = Cell.all then "*" else Schema.decode_value schema i code
 
 let to_line schema req =
@@ -225,7 +219,8 @@ let to_line schema req =
       in
       Printf.sprintf "range %s" (String.concat "," (Array.to_list (Array.mapi dim dims)))
     | Iceberg { func; threshold } ->
-      Printf.sprintf "iceberg %s %s" (Agg.func_to_string func) (float_exact threshold)
+      (* the exact spelling: thresholds must survive [of_line ∘ to_line] *)
+      Printf.sprintf "iceberg %s %s" (Agg.func_to_string func) (Jx.float_exact threshold)
   in
   match req with
   | Query q -> Some (line q)

@@ -370,9 +370,11 @@ let accept_loop t =
 
 (* ---------- generation watcher ---------- *)
 
-(* Polls the committed generation mark (one small file read) and reopens
-   the warehouse only on advance.  A reopen racing a writer's commit can
-   fail transiently — that is the retry-next-tick branch, not an error. *)
+(* Polls the committed generation mark and reopens the warehouse only on
+   advance.  The poll is not cheap: [committed_generation] reads all of
+   [base.csv] and checks its CRC against the manifest.  A reopen racing a
+   writer's commit can fail transiently — that is the retry-next-tick
+   branch, not an error. *)
 let watcher_loop t =
   while not (Atomic.get t.stop_flag) do
     Unix.sleepf t.cfg.poll_interval_s;

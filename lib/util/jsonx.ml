@@ -24,13 +24,25 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
-let float_repr f =
-  if not (Float.is_finite f) then "null"
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Of the two spellings [%g] (6 significant digits) and [%.17g], the
+   shorter one that parses back to [f] — [Printf]'s conversions, at one
+   [caml_format_float] call for most floats.  [%g] round-trips only when [f]
+   is the double nearest a decimal of at most 6 significant digits; then
+   |f|·10^(5−e), e = ⌊log10 |f|⌋, lies within rounding error (~1e-9) of an
+   integer.  Further than 1e-6 from one, the answer is [%.17g] without
+   trying [%g].  Otherwise, and when |e| > 280 (zero, subnormals,
+   non-finite values), [%g] is tried and checked. *)
+let float_exact f =
+  let e = Float.floor (Float.log10 (Float.abs f)) in
+  let x = Float.abs f *. (10.0 ** (5.0 -. e)) in
+  if Float.abs e <= 280.0 && Float.abs (x -. Float.round x) > 1e-6 then format_float "%.17g" f
   else
-    (* shortest representation that round-trips *)
-    let s = Printf.sprintf "%.17g" f in
-    let short = Printf.sprintf "%g" f in
-    if float_of_string short = f then short else s
+    let short = format_float "%g" f in
+    if Float.equal (float_of_string short) f then short else format_float "%.17g" f
+
+let float_repr f = if Float.is_finite f then float_exact f else "null"
 
 let rec emit ~indent depth buf v =
   let pad d =

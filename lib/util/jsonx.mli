@@ -23,6 +23,12 @@ val to_string : t -> string
 val to_string_pretty : t -> string
 (** Two-space indented rendering, for files meant to be read by humans. *)
 
+val float_exact : float -> string
+(** The shortest of [Printf]'s [%g] and [%.17g] spellings that parses back
+    to the same float: [%g] when it round-trips, [%.17g] otherwise.
+    Non-finite values get [%g]'s spelling ([inf], [-inf], [nan]); the JSON
+    printers render them as [null] instead. *)
+
 val parse : string -> (t, string) result
 (** Parse one JSON document (surrounding whitespace allowed).  Integers
     without [.], [e] or [E] parse as [Int]; everything else numeric parses

@@ -105,11 +105,11 @@ let no_recovery =
   }
 
 (* The warehouse keeps the summary in two forms: the frozen [Packed.t],
-   which answers all point/range queries, and the mutable [Qc_tree.t] the
-   incremental maintenance algorithms require.  After a build (or an open
-   from the packed on-disk format) only the frozen form is guaranteed
-   present; the mutable form is thawed transparently on the first
-   maintenance operation (or iceberg/self-check, which walk tree nodes) and
+   which answers all point/range/iceberg queries, and the mutable
+   [Qc_tree.t] the incremental maintenance algorithms require.  After a
+   build (or an open from the packed on-disk format) only the frozen form
+   is guaranteed present; the mutable form is thawed transparently on the
+   first maintenance operation (or self-check, which walks tree nodes) and
    kept warm afterwards.  Every mutation refreezes, so [packed] is never
    stale when present. *)
 (* A detached snapshot of everything the background half of a rolling
@@ -127,9 +127,6 @@ type t = {
   mutable base : Table.t;
   mutable tree_ : Qc_core.Qc_tree.t option;  (** thawed working form *)
   mutable packed_ : Qc_core.Packed.t option;  (** frozen query form *)
-  mutable index : (Agg.func * Qc_core.Query.measure_index) option;  (** iceberg cache *)
-  mutable generation : int;  (** bumped on every mutation (iceberg cache key) *)
-  mutable index_generation : int;
   mutable self_check_enabled : bool;
   mutable dir : string option;  (** attached directory, once saved/opened *)
   mutable ckpt_generation : int;  (** generation of the last committed checkpoint *)
@@ -192,9 +189,6 @@ let create base =
     base;
     tree_ = Some tree;
     packed_ = Some (Qc_core.Packed.of_tree tree);
-    index = None;
-    generation = 0;
-    index_generation = -1;
     self_check_enabled = false;
     dir = None;
     ckpt_generation = 0;
@@ -213,9 +207,6 @@ let create_frozen base packed =
     base;
     tree_ = None;
     packed_ = Some packed;
-    index = None;
-    generation = 0;
-    index_generation = -1;
     self_check_enabled = false;
     dir = None;
     ckpt_generation = 0;
@@ -275,8 +266,6 @@ let align_schema t target =
     t.base <- base;
     t.tree_ <- Some tree;
     t.packed_ <- Some (Qc_core.Packed.of_tree tree);
-    t.index <- None;
-    t.generation <- t.generation + 1;
     t.recovery <- { t.recovery with rebuilt_tree = true };
     Log.warn (fun m ->
         m "re-encoded %d rows against the composite dictionary and rebuilt the summary"
@@ -289,8 +278,6 @@ let attached_dir t = t.dir
 let checkpoint_generation t = t.ckpt_generation
 
 let last_recovery t = t.recovery
-
-let touch t = t.generation <- t.generation + 1
 
 let set_self_check t on = t.self_check_enabled <- on
 
@@ -587,7 +574,6 @@ let insert t delta =
     ignore (log_mutation t Qc_core.Wal.Insert delta);
     let stats = run_insert t delta in
     refreeze t;
-    touch t;
     Log.info (fun m ->
         m "inserted %d rows (%d updated, %d carved, %d fresh classes)" (Table.n_rows delta)
           stats.updated stats.carved stats.fresh);
@@ -634,7 +620,6 @@ let delete t delta =
   ignore (log_mutation t Qc_core.Wal.Delete delta);
   let stats = run_delete t delta in
   refreeze t;
-  touch t;
   Log.info (fun m ->
       m "deleted %d rows (%d classes removed, %d merged)" (Table.n_rows delta) stats.removed
         stats.merged);
@@ -657,16 +642,9 @@ let range t q =
   | Error e -> invalid_arg (Qc_core.Query.error_to_string e)
 
 let iceberg t func ~threshold =
-  let index =
-    match t.index with
-    | Some (f, idx) when f = func && t.index_generation = t.generation -> idx
-    | Some _ | None ->
-      let idx = Qc_core.Query.make_index (tree t) func in
-      t.index <- Some (func, idx);
-      t.index_generation <- t.generation;
-      idx
-  in
-  Qc_core.Query.iceberg index ~threshold
+  match Qc_core.Engine.Packed_backend.iceberg (packed t) func ~threshold with
+  | Ok cells -> cells
+  | Error e -> invalid_arg (Qc_core.Query.error_to_string e)
 
 (* Batches always run over the frozen snapshot: [Engine.run_batch] fans
    the queries out across domains, and because the packed structure is
@@ -988,10 +966,9 @@ let complete_refreeze t task result =
   List.iter
     (fun (r : Qc_core.Wal.record) ->
       let delta = Qc_core.Wal.table_of_record (Table.schema t.base) r in
-      (match r.op with
+      match r.op with
       | Qc_core.Wal.Insert -> ignore (run_insert t delta)
-      | Qc_core.Wal.Delete -> ignore (run_delete t delta));
-      touch t)
+      | Qc_core.Wal.Delete -> ignore (run_delete t delta))
     buffered;
   (match buffered with [] -> () | _ :: _ -> refreeze t);
   Log.info (fun m ->
@@ -1135,9 +1112,6 @@ let open_dir dir =
       base;
       tree_;
       packed_;
-      index = None;
-      generation = 0;
-      index_generation = -1;
       self_check_enabled = false;
       dir = Some dir;
       ckpt_generation;
@@ -1195,7 +1169,6 @@ let open_dir dir =
                | Qc_core.Wal.Insert -> ignore (run_insert w delta)
                | Qc_core.Wal.Delete -> ignore (run_delete w delta)
              with Invalid_argument reason -> raise (corrupt ("replay failed: " ^ reason)));
-            touch w;
             incr replayed;
             incr live
           end)

@@ -279,8 +279,9 @@ val query_value : t -> Agg.func -> Cell.t -> float option
 val range : t -> Query.range -> (Cell.t * Agg.t) list
 
 val iceberg : t -> Agg.func -> threshold:float -> (Cell.t * Agg.t) list
-(** Rebuilds the measure index when the tree changed since the last iceberg
-    query with the same function. *)
+(** Answered by {!Engine.Packed_backend.iceberg} on the frozen image, so
+    in {!Cell.compare_dict} order.  Each image builds its own index, so a
+    mutation (which refreezes) never serves a stale one. *)
 
 val run_batch :
   ?jobs:int -> ?node_accesses:bool -> t -> Engine.query array -> Engine.batch

@@ -252,19 +252,84 @@ let prop_range_backend_differential c =
       | _ -> false)
     (Prop.random_ranges c 8)
 
-(* iceberg through the Engine: tree and packed return the identical
-   canonically-sorted class list *)
+let funcs = [ Agg.Count; Agg.Sum; Agg.Avg; Agg.Min; Agg.Max ]
+
+(* Every threshold that can split a function's class values: both
+   infinities, NaN (which nothing meets), each distinct value (its ties
+   must be included) and the midpoints between neighbours. *)
+let iceberg_thresholds tree func =
+  let values = ref [] in
+  T.iter_classes (fun _ _ a -> values := Agg.value func a :: !values) tree;
+  let vs = List.sort_uniq Float.compare !values in
+  let rec mids = function a :: (b :: _ as rest) -> ((a +. b) /. 2.0) :: mids rest | _ -> [] in
+  (neg_infinity :: infinity :: nan :: vs) @ mids vs
+
+(* iceberg through the Engine: the packed image's index returns exactly the
+   canonically-sorted class list a full scan of the mutable tree does, for
+   every function and threshold.  The first question per function builds
+   the index; every later one, including a repeat, reuses it. *)
 let prop_iceberg_backend_differential c =
   let _, tree, packed, _ = build c in
-  let threshold = float_of_int c.Prop.min_support in
-  match (E.Tree_backend.iceberg tree Agg.Count ~threshold, E.Packed_backend.iceberg packed Agg.Count ~threshold)
-  with
-  | Ok t, Ok p ->
-    cells_equal ~exact:true t p
-    && List.for_all
-         (fun (_, a) -> Agg.value Agg.Count a >= threshold)
-         t
-  | _ -> false
+  List.for_all
+    (fun func ->
+      List.for_all
+        (fun threshold ->
+          match
+            ( E.Tree_backend.iceberg tree func ~threshold,
+              E.Packed_backend.iceberg packed func ~threshold,
+              E.Packed_backend.iceberg packed func ~threshold )
+          with
+          | Ok t, Ok p, Ok again ->
+            cells_equal ~exact:true t p && cells_equal ~exact:true p again
+            && List.for_all (fun (_, a) -> Agg.value func a >= threshold) p
+          | _ -> false)
+        (iceberg_thresholds tree func))
+    funcs
+
+(* two domains racing on a fresh image's first iceberg per function both
+   get the list a full scan of the mutable tree gives *)
+let prop_iceberg_index_race c =
+  let _, tree, packed, _ = build c in
+  let ready = Atomic.make 0 in
+  let ask () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    List.map (fun func -> E.Packed_backend.iceberg packed func ~threshold:neg_infinity) funcs
+  in
+  let other = Domain.spawn ask in
+  let mine = ask () in
+  let theirs = Domain.join other in
+  List.for_all2
+    (fun func (m, t) ->
+      match (E.Tree_backend.iceberg tree func ~threshold:neg_infinity, m, t) with
+      | Ok want, Ok m, Ok t -> cells_equal ~exact:true want m && cells_equal ~exact:true m t
+      | _ -> false)
+    funcs (List.combine mine theirs)
+
+(* a class whose value is NaN never qualifies: the running example plus a
+   NaN measure, whose classes have a NaN SUM/AVG/MIN/MAX but a COUNT *)
+let test_iceberg_nan_values () =
+  let table = sales_table () in
+  Table.add_row table [ "S2"; "P2"; "f" ] nan;
+  let tree = T.of_table table in
+  let packed = P.of_tree tree in
+  let cells func threshold =
+    match (E.Tree_backend.iceberg tree func ~threshold, E.Packed_backend.iceberg packed func ~threshold) with
+    | Ok want, Ok got ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s >= %g: packed = tree" (Agg.func_to_string func) threshold)
+        (List.map (fun (c, _) -> Cell.to_string (T.schema tree) c) want)
+        (List.map (fun (c, _) -> Cell.to_string (T.schema tree) c) got);
+      List.iter (fun (_, a) -> Alcotest.(check bool) "no NaN answer" false (Float.is_nan (Agg.value func a))) got;
+      List.length got
+    | _ -> Alcotest.fail "iceberg failed"
+  in
+  List.iter (fun func -> List.iter (fun th -> ignore (cells func th)) [ neg_infinity; 0.0; nan ]) funcs;
+  Alcotest.(check bool) "NaN sums drop classes COUNT keeps" true
+    (cells Agg.Sum neg_infinity < cells Agg.Count neg_infinity);
+  Alcotest.(check int) "nothing meets a NaN threshold" 0 (cells Agg.Count nan)
 
 (* a mixed random batch answers bit-identically whatever the domain count
    or the order chunks are spawned in *)
@@ -326,6 +391,8 @@ let () =
             test_run_batch_sequential_equivalence;
           Alcotest.test_case "run_batch: chunk order is inert" `Quick
             test_run_batch_chunk_order;
+          Alcotest.test_case "iceberg: NaN class values never qualify" `Quick
+            test_iceberg_nan_values;
         ] );
       ( "property",
         [
@@ -335,6 +402,8 @@ let () =
             Prop.arb_case prop_range_backend_differential;
           Prop.qcheck_case ~count:100 ~name:"iceberg agrees between tree and packed"
             Prop.arb_case prop_iceberg_backend_differential;
+          Prop.qcheck_case ~count:40 ~name:"racing first icebergs agree"
+            Prop.arb_case prop_iceberg_index_race;
           Prop.qcheck_case ~count:60 ~name:"batch results are independent of jobs and schedule"
             Prop.arb_case prop_batch_determinism;
           Prop.qcheck_case ~count:40 ~name:"parallel metric totals equal sequential totals"

@@ -105,6 +105,66 @@ let test_tablefmt () =
   Tablefmt.add_row q [ "v1,v2" ];
   Alcotest.(check string) "csv quoting" "x\n\"v1,v2\"\n" (Tablefmt.to_csv q)
 
+(* ---------- float spelling ---------- *)
+
+(* The Printf rule [Jsonx.float_exact] replaces, kept here as the oracle:
+   [%g] when it parses back to the same float, else [%.17g]. *)
+let oracle_float_exact f =
+  let short = Printf.sprintf "%g" f in
+  if Float.equal (float_of_string short) f then short else Printf.sprintf "%.17g" f
+
+let test_float_spelling () =
+  let checked = ref 0 and mismatches = ref [] in
+  let check f =
+    incr checked;
+    let want = if Float.is_finite f then oracle_float_exact f else "null" in
+    let json = Jsonx.to_string (Jsonx.Float f) in
+    if (not (String.equal (Jsonx.float_exact f) (oracle_float_exact f)))
+       || not (String.equal json want)
+    then mismatches := Printf.sprintf "%Lx: want %s, got %s / %s" (Int64.bits_of_float f)
+        want (Jsonx.float_exact f) json :: !mismatches
+  in
+  let check_signed f =
+    check f;
+    check (Float.neg f)
+  in
+  let with_ulps f =
+    check_signed f;
+    check_signed (Float.succ f);
+    check_signed (Float.pred f)
+  in
+  let rng = Rng.create 0xF10A7 in
+  (* random 64-bit patterns: every exponent, NaN payloads included *)
+  for _ = 1 to 300_000 do
+    check (Int64.float_of_bits (Rng.int64 rng))
+  done;
+  (* decimals of at most 6 significant digits, x 10^k, and their neighbours:
+     exactly the floats %g can spell *)
+  for _ = 1 to 80_000 do
+    let digits = 1 + Rng.int rng 6 in
+    let m = Rng.int rng (int_of_float (10.0 ** float_of_int digits)) in
+    let k = Rng.int rng 81 - 40 in
+    with_ulps (float_of_string (Printf.sprintf "%de%d" m k))
+  done;
+  (* integers, small and large, and powers of ten *)
+  for i = 0 to 20_000 do
+    with_ulps (float_of_int i)
+  done;
+  for _ = 1 to 20_000 do
+    with_ulps (float_of_int (Rng.int rng (1 lsl 60)))
+  done;
+  for k = -323 to 308 do
+    with_ulps (float_of_string (Printf.sprintf "1e%d" k))
+  done;
+  (* subnormals, the boundaries and the non-finite values *)
+  for _ = 1 to 20_000 do
+    check_signed (Int64.float_of_bits (Int64.of_int (1 + Rng.int rng ((1 lsl 52) - 1))))
+  done;
+  List.iter with_ulps [ 0.0; Float.min_float; Float.max_float; Float.epsilon ];
+  List.iter check_signed [ Float.infinity; Float.nan ];
+  Alcotest.(check bool) "values checked" true (!checked > 1_000_000);
+  Alcotest.(check (list string)) "spelled as the Printf rule" [] (List.rev !mismatches)
+
 let () =
   Alcotest.run "qc_util"
     [
@@ -131,4 +191,6 @@ let () =
         ] );
       ( "tablefmt",
         [ Alcotest.test_case "format" `Quick test_tablefmt ] );
+      ( "jsonx",
+        [ Alcotest.test_case "float spelling" `Quick test_float_spelling ] );
     ]
