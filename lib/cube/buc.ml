@@ -2,22 +2,22 @@ let compute ?(min_support = 1) table emit =
   let n = Table.n_rows table in
   let d = Table.n_dims table in
   if n > 0 then begin
-    let idx = Table.all_indices table in
+    let bufs = Table.index_buffers table in
     let cell = Cell.make_all d in
     (* Invariant: [cell] describes the current group-by; rows
-       [idx.(lo) .. idx.(hi-1)] are exactly its cover set. *)
+       [bufs.(dim).(lo) .. bufs.(dim).(hi-1)] are exactly its cover set, in
+       ascending row order.  The group-by on dimension [j] goes to
+       [bufs.(j + 1)], which no deeper call writes. *)
     let rec aux lo hi dim =
+      let idx = bufs.(dim) in
       emit (Cell.copy cell) (Table.agg_of_range table idx ~lo ~hi);
       for j = dim to d - 1 do
-        let groups = Table.partition_by_dim table idx ~lo ~hi ~dim:j in
-        List.iter
-          (fun (v, glo, ghi) ->
+        Table.partition table ~src:idx ~dst:bufs.(j + 1) ~lo ~hi ~dim:j (fun v glo ghi ->
             if ghi - glo >= min_support then begin
               cell.(j) <- v;
               aux glo ghi (j + 1);
               cell.(j) <- Cell.all
             end)
-          groups
       done
     in
     if n >= min_support then aux 0 n 0

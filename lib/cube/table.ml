@@ -89,30 +89,101 @@ let cover_agg t c =
 
 let all_indices t = Array.init t.len (fun i -> i)
 
-let partition_by_dim t idx ~lo ~hi ~dim =
+let index_buffers t =
+  Array.init (n_dims t + 1) (fun depth -> if depth = 0 then all_indices t else Array.make t.len 0)
+
+(* Groups of [dst.(lo) .. dst.(hi-1)], already ordered by [key], in order. *)
+let scan_groups key dst ~lo ~hi f =
+  let start = ref lo and v = ref (key dst.(lo)) in
+  for i = lo + 1 to hi - 1 do
+    let k = key dst.(i) in
+    if k <> !v then begin
+      f !v !start i;
+      start := i;
+      v := k
+    end
+  done;
+  f !v !start hi
+
+let partition t ~src ~dst ~lo ~hi ~dim f =
   let m = hi - lo in
-  if m <= 0 then []
-  else begin
-    let slice = Array.sub idx lo m in
-    let key i = t.tuples.(i).(dim) in
-    Array.sort (fun a b -> Int.compare (key a) (key b)) slice;
-    Array.blit slice 0 idx lo m;
-    (* Scan for group boundaries. *)
-    let groups = ref [] in
-    let start = ref lo in
-    for i = lo + 1 to hi - 1 do
-      if key idx.(i) <> key idx.(!start) then begin
-        groups := (key idx.(!start), !start, i) :: !groups;
-        start := i
+  if m > 0 then begin
+    let tuples = t.tuples in
+    let key row = tuples.(row).(dim) in
+    if m <= 16 then begin
+      (* Insertion sort: stable, since a row moves only past larger keys. *)
+      for i = lo to hi - 1 do
+        let row = src.(i) in
+        let k = key row in
+        let j = ref (i - 1) in
+        while !j >= lo && key dst.(!j) > k do
+          dst.(!j + 1) <- dst.(!j);
+          decr j
+        done;
+        dst.(!j + 1) <- row
+      done;
+      scan_groups key dst ~lo ~hi f
+    end
+    else begin
+      let kmin = ref max_int and kmax = ref min_int in
+      for i = lo to hi - 1 do
+        let k = key src.(i) in
+        if k < !kmin then kmin := k;
+        if k > !kmax then kmax := k
+      done;
+      let kmin = !kmin and kmax = !kmax in
+      (* [kmin + 4m] wraps negative only when [kmin] is near [max_int]; the
+         comparison then fails and the slice takes the comparison sort. *)
+      if kmax <= kmin + (4 * m) then begin
+        (* Counting sort (BUC's CountingSort): after the prefix sums,
+           [ends.(k)] is where key [kmin + k] starts; after the scatter, where
+           it ends. *)
+        let span = kmax - kmin + 1 in
+        let ends = Array.make (span + 1) 0 in
+        for i = lo to hi - 1 do
+          let k = key src.(i) - kmin + 1 in
+          ends.(k) <- ends.(k) + 1
+        done;
+        ends.(0) <- lo;
+        for k = 1 to span do
+          ends.(k) <- ends.(k) + ends.(k - 1)
+        done;
+        for i = lo to hi - 1 do
+          let row = src.(i) in
+          let k = key row - kmin in
+          dst.(ends.(k)) <- row;
+          ends.(k) <- ends.(k) + 1
+        done;
+        let start = ref lo in
+        for k = 0 to span - 1 do
+          let stop = ends.(k) in
+          if stop > !start then begin
+            f (kmin + k) !start stop;
+            start := stop
+          end
+        done
       end
-    done;
-    groups := (key idx.(!start), !start, hi) :: !groups;
-    List.rev !groups
+      else begin
+        let slice = Array.sub src lo m in
+        Array.stable_sort (fun a b -> Int.compare (key a) (key b)) slice;
+        Array.blit slice 0 dst lo m;
+        scan_groups key dst ~lo ~hi f
+      end
+    end
   end
 
+(* The fold [cover_agg] performs, one [Agg.merge acc (Agg.of_measure m)] per
+   row in slice order, kept in local variables. *)
 let agg_of_range t idx ~lo ~hi =
-  let acc = ref Agg.empty in
-  for i = lo to hi - 1 do
-    acc := Agg.merge !acc (Agg.of_measure t.measures.(idx.(i)))
-  done;
-  !acc
+  if hi <= lo then Agg.empty
+  else begin
+    let measures = t.measures in
+    let sum = ref 0.0 and mn = ref infinity and mx = ref neg_infinity in
+    for i = lo to hi - 1 do
+      let m = measures.(idx.(i)) in
+      sum := !sum +. m;
+      mn := Float.min !mn m;
+      mx := Float.max !mx m
+    done;
+    { Agg.count = hi - lo; sum = !sum; min = !mn; max = !mx }
+  end

@@ -4,7 +4,8 @@
     without [*] values plus one measure.  Duplicate dimension combinations
     are allowed (their measures aggregate, as in Case 1 of the insertion
     algorithm).  The table also provides the index-array partitioning
-    primitive shared by BUC and the quotient-cube DFS. *)
+    primitive shared by BUC, Dwarf and the quotient-cube DFS of Algorithms 1
+    and 2. *)
 
 type t
 
@@ -56,12 +57,28 @@ val cover_agg : t -> Cell.t -> Agg.t
 val all_indices : t -> int array
 (** A fresh identity index array [0 .. n_rows - 1]. *)
 
-val partition_by_dim :
-  t -> int array -> lo:int -> hi:int -> dim:int -> (int * int * int) list
-(** [partition_by_dim t idx ~lo ~hi ~dim] permutes the slice
-    [idx.(lo) .. idx.(hi-1)] so rows are grouped by their value in dimension
-    [dim], and returns the groups as [(value, lo', hi')] triples in
-    increasing value order. *)
+val index_buffers : t -> int array array
+(** [n_dims t + 1] fresh index arrays of length [n_rows t] for one
+    partitioning search: the first is {!all_indices}, the others are
+    scratch.  The searches built on {!partition} group dimension [j] into
+    the array at index [j + 1] and, below a group, group only dimensions
+    after [j], so no slice still in use is overwritten. *)
+
+val partition :
+  t -> src:int array -> dst:int array -> lo:int -> hi:int -> dim:int -> (int -> int -> int -> unit) -> unit
+(** [partition t ~src ~dst ~lo ~hi ~dim f] writes the rows
+    [src.(lo) .. src.(hi-1)] into [dst.(lo) .. dst.(hi-1)] grouped by their
+    value in dimension [dim], then calls [f v lo' hi'] once per group, in
+    increasing value order, where [dst.(lo') .. dst.(hi'-1)] are the rows
+    with value [v].  The partition is stable: rows keep their [src] order
+    within a group, so a slice that starts in ascending row order keeps it
+    at every depth.  [src] and [dst] outside [\[lo, hi)] are not written,
+    and [f] may recurse into deeper buffers.  The method follows from the
+    slice: insertion sort for at most 16 rows, a counting sort when the
+    slice's value range is at most 4 times its row count, a merge sort
+    otherwise. *)
 
 val agg_of_range : t -> int array -> lo:int -> hi:int -> Agg.t
-(** Aggregate of the rows designated by an index-array slice. *)
+(** Aggregate of the rows designated by an index-array slice, folded in
+    slice order exactly as {!cover_agg} folds: over an ascending slice the
+    two are bit-identical. *)

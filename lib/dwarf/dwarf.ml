@@ -78,33 +78,39 @@ let build ?(coalescing = Hash_cons) table =
   let root =
     if n = 0 then None
     else begin
-      let idx = Table.all_indices table in
-      let rec make lo hi level =
-        let groups = Table.partition_by_dim table idx ~lo ~hi ~dim:level in
+      let bufs = Table.index_buffers table in
+      (* A node at [level] groups its slice of [bufs.(src)] on dimension
+         [level] into [bufs.(level + 1)]; its children read that buffer, and
+         its ALL child re-groups the node's own source slice.  Every call
+         below writes only deeper buffers, so both stay intact. *)
+      let rec make src lo hi level =
+        let dst = bufs.(level + 1) in
+        let keys = ref [] in
         if level = d - 1 then begin
-          let keys = Array.of_list (List.map (fun (v, _, _) -> v) groups) in
-          let aggs =
-            Array.of_list
-              (List.map (fun (_, glo, ghi) -> Table.agg_of_range table idx ~lo:glo ~hi:ghi) groups)
-          in
-          let all = Array.fold_left Agg.merge Agg.empty aggs in
-          cons_leaf keys aggs all
+          let aggs = ref [] in
+          Table.partition table ~src:bufs.(src) ~dst ~lo ~hi ~dim:level (fun v glo ghi ->
+              keys := v :: !keys;
+              aggs := Table.agg_of_range table dst ~lo:glo ~hi:ghi :: !aggs);
+          cons_leaf
+            (Array.of_list (List.rev !keys))
+            (Array.of_list (List.rev !aggs))
+            (Table.agg_of_range table bufs.(src) ~lo ~hi)
         end
         else begin
-          let cells =
-            List.map (fun (v, glo, ghi) -> (v, make glo ghi (level + 1))) groups
-          in
-          let keys = Array.of_list (List.map fst cells) in
-          let kids = Array.of_list (List.map snd cells) in
+          let kids = ref [] in
+          Table.partition table ~src:bufs.(src) ~dst ~lo ~hi ~dim:level (fun v glo ghi ->
+              keys := v :: !keys;
+              kids := make (level + 1) glo ghi (level + 1) :: !kids);
+          let kids = Array.of_list (List.rev !kids) in
           let all =
             match kids with
             | [| only |] when coalescing <> No_coalescing -> only
-            | _ -> make lo hi (level + 1)
+            | _ -> make src lo hi (level + 1)
           in
-          cons_inner keys kids all
+          cons_inner (Array.of_list (List.rev !keys)) kids all
         end
       in
-      Some (make 0 n 0)
+      Some (make 0 0 n 0)
     end
   in
   { schema; root; dims = d }

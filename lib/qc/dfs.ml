@@ -32,12 +32,16 @@ let visit table f =
   Trace.with_span ~cat:"dfs" ~args:[ ("rows", Trace.Int n); ("dims", Trace.Int d) ] "dfs.visit"
   @@ fun () ->
   if n > 0 then begin
-    let idx = Table.all_indices table in
+    let bufs = Table.index_buffers table in
     let counter = ref 0 in
-    (* [c] is owned by this call; [idx.(lo) .. idx.(hi-1)] is its partition;
-       [k] is the dimension expanded to reach [c] (-1 at the root). *)
+    (* [c] is owned by this call; [bufs.(k + 1).(lo) .. bufs.(k + 1).(hi-1)]
+       is its partition, in ascending row order; [k] is the dimension
+       expanded to reach [c] (-1 at the root).  Each expansion fills a
+       dimension after [k], so [bufs.(k + 1)] is this call's buffer and the
+       partitions it opens go to the next one. *)
     let rec dfs c lo hi k chdid =
       Metrics.incr m_visits;
+      let idx = bufs.(k + 1) in
       let agg = Table.agg_of_range table idx ~lo ~hi in
       let ub = Cell.copy c in
       for j = 0 to d - 1 do
@@ -60,14 +64,11 @@ let visit table f =
       else
         for j = k + 1 to d - 1 do
           if ub.(j) = Cell.all then
-            let groups = Table.partition_by_dim table idx ~lo ~hi ~dim:j in
-            List.iter
-              (fun (v, glo, ghi) ->
+            Table.partition table ~src:idx ~dst:bufs.(j + 1) ~lo ~hi ~dim:j (fun v glo ghi ->
                 Metrics.incr m_partitions;
                 let c' = Cell.copy ub in
                 c'.(j) <- v;
                 dfs c' glo ghi j id)
-              groups
         done
     in
     dfs (Cell.make_all d) 0 n (-1) (-1);

@@ -143,9 +143,12 @@ let delta_search tree delta =
   let records = ref [] in
   let located = ref 0 in
   if n > 0 then begin
-    let idx = Table.all_indices delta in
+    let bufs = Table.index_buffers delta in
     let counter = ref 0 in
+    (* The partition of [c] is [bufs.(k + 1)] in [\[lo, hi)], as in
+       [Dfs.visit]. *)
     let rec dfs c lo hi k chdid =
+      let idx = bufs.(k + 1) in
       let delta_agg = Table.agg_of_range delta idx ~lo ~hi in
       let delta_ub = jump delta idx ~lo ~hi c in
       incr located;
@@ -195,13 +198,10 @@ let delta_search tree delta =
       if expandable then
         for j = k + 1 to d - 1 do
           if ub.(j) = Cell.all then
-            let groups = Table.partition_by_dim delta idx ~lo ~hi ~dim:j in
-            List.iter
-              (fun (v, glo, ghi) ->
+            Table.partition delta ~src:idx ~dst:bufs.(j + 1) ~lo ~hi ~dim:j (fun v glo ghi ->
                 let c' = Cell.copy ub in
                 c'.(j) <- v;
                 dfs c' glo ghi j id)
-              groups
         done
     in
     dfs (Cell.make_all d) 0 n (-1) (-1)

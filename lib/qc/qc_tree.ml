@@ -124,7 +124,7 @@ let add_child t parent dim label =
   (* keep a filled cache current; an invalidated (None) cache is rebuilt
      lazily by [last_dim_child], which will see the new child anyway *)
   (match parent.last_child_cache with
-  | Some m when (m.dim, m.label) > (dim, label) -> ()
+  | Some m when m.dim > dim || (m.dim = dim && m.label > label) -> ()
   | Some _ -> parent.last_child_cache <- Some n
   | None -> ());
   Int_tbl.replace t.index (pack parent.nid dim label) (Edge n);
@@ -275,66 +275,60 @@ let bytes t =
 (* Construction: Algorithm 1, second phase. *)
 let of_temp_classes schema classes =
   let t = create schema in
-  let sorted = List.sort Temp_class.compare_for_insertion classes in
-  let node_of_class : (int, node) Hashtbl.t = Hashtbl.create 1024 in
-  let last : (Cell.t * node) option ref = ref None in
-  let link_label (tc : Temp_class.t) child_ub =
-    (* First dimension where the lattice child's upper bound is [*] but the
-       current class's lower bound is not: the drill-down dimension. *)
-    let d = Array.length child_ub in
-    let rec go i =
-      if i >= d then None
-      else if child_ub.(i) = Cell.all && tc.lb.(i) <> Cell.all then Some (i, tc.lb.(i))
-      else go (i + 1)
-    in
-    go 0
+  let sorted = Array.of_list classes in
+  Array.stable_sort Temp_class.compare_for_insertion sorted;
+  (* Temp-class ids ([Dfs.run] numbers 0 .. n-1) index the upper bound and
+     node of every class inserted so far. *)
+  let n_ids = Array.fold_left (fun acc (tc : Temp_class.t) -> max acc (tc.id + 1)) 0 sorted in
+  let placed : (Cell.t * node) option array = Array.make n_ids None in
+  let rec up_to_dim_below dim n =
+    match n.parent with Some p when n.dim >= dim -> up_to_dim_below dim p | _ -> n
   in
-  List.iter
+  let last = ref None in
+  Array.iter
     (fun (tc : Temp_class.t) ->
       let node =
         match !last with
-        | Some (ub, node) when Cell.equal ub tc.ub ->
+        | Some ((ub : Cell.t), node) when Cell.equal ub tc.ub ->
           (* Redundant temporary class: add one drill-down connection per
              Definition 1 — labeled by the drill-down dimension value, from
              the lattice child's upper-bound prefix before that dimension to
              this upper bound's prefix through it.  When the two prefixes are
-             already joined by a tree edge, no link is needed. *)
-          (match Hashtbl.find_opt node_of_class tc.child with
-          | None -> invalid_arg "Qc_tree.of_temp_classes: dangling lattice child"
-          | Some child_node ->
-            let child_ub = node_cell t child_node in
-            (match link_label tc child_ub with
-            | Some (dim, label) ->
-              let truncate cell limit =
-                Array.mapi (fun i v -> if i < limit then v else Cell.all) cell
-              in
-              let src =
-                match find_path t (truncate child_ub dim) with
-                | Some n -> n
-                | None -> invalid_arg "Qc_tree.of_temp_classes: missing source prefix"
-              in
-              let dst =
-                match find_path t (truncate tc.ub (dim + 1)) with
-                | Some n -> n
-                | None -> invalid_arg "Qc_tree.of_temp_classes: missing target prefix"
-              in
-              let already_tree_edge =
-                match dst.parent with Some p -> p == src | None -> false
-              in
-              if not already_tree_edge then add_link t ~src ~dim ~label ~dst
-            | None -> ()));
+             already joined by a tree edge, no link is needed.  The child
+             sorts first (its bound is more general), so its node exists. *)
+          let child_ub, child_node =
+            match if tc.child >= 0 && tc.child < n_ids then placed.(tc.child) else None with
+            | Some placed_child -> placed_child
+            | None -> invalid_arg "Qc_tree.of_temp_classes: dangling lattice child"
+          in
+          (* First dimension where the lattice child's upper bound is [*]
+             but this class's lower bound is not: the drill-down dimension.
+             The link runs between the two paths' prefixes, found by
+             walking up from the class nodes. *)
+          let d = Array.length child_ub in
+          let rec drill i =
+            if i >= d then ()
+            else if child_ub.(i) = Cell.all && tc.lb.(i) <> Cell.all then begin
+              let src = up_to_dim_below i child_node in
+              let dst = up_to_dim_below (i + 1) node in
+              let already_tree_edge = match dst.parent with Some p -> p == src | None -> false in
+              if not already_tree_edge then add_link t ~src ~dim:i ~label:tc.lb.(i) ~dst
+            end
+            else drill (i + 1)
+          in
+          drill 0;
           node
         | _ ->
           let node = insert_path t tc.ub in
           set_agg node (Some tc.agg);
-          last := Some (Cell.copy tc.ub, node);
+          last := Some (tc.ub, node);
           node
       in
-      Hashtbl.replace node_of_class tc.id node)
+      placed.(tc.id) <- Some (tc.ub, node))
     sorted;
   Log.info (fun m ->
       m "built tree from %d temp classes: %d nodes, %d links, %d classes"
-        (List.length classes) (n_nodes t) (n_links t) (n_classes t));
+        (Array.length sorted) (n_nodes t) (n_links t) (n_classes t));
   t
 
 let of_table table = of_temp_classes (Table.schema table) (Dfs.run table)

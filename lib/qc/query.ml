@@ -335,7 +335,11 @@ let make_index tree func =
   Qc_tree.iter_nodes
     (fun n ->
       match n.Qc_tree.agg with
-      | Some a -> acc := (Agg.value func a, n) :: !acc
+      | Some a ->
+        (* leave NaN out: [Float.compare] sorts it first, yet it is at
+           least no threshold *)
+        let v = Agg.value func a in
+        if not (Float.is_nan v) then acc := (v, n) :: !acc
       | None -> ())
     tree;
   let entries = Array.of_list !acc in
@@ -343,12 +347,13 @@ let make_index tree func =
   Trace.add_attr "entries" (Trace.Int (Array.length entries));
   { tree; func; entries }
 
-(* First index position with value >= threshold. *)
+(* First index position with value >= threshold, or the length when there
+   is none (always, for a NaN threshold). *)
 let lower_bound entries threshold =
   let lo = ref 0 and hi = ref (Array.length entries) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if fst entries.(mid) < threshold then lo := mid + 1 else hi := mid
+    if fst entries.(mid) >= threshold then hi := mid else lo := mid + 1
   done;
   !lo
 

@@ -138,7 +138,8 @@ val make_index : Qc_tree.t -> Agg.func -> measure_index
 
 val iceberg : measure_index -> threshold:float -> (Cell.t * Agg.t) list
 (** Pure iceberg query: every class upper bound whose aggregate is at least
-    [threshold]. *)
+    [threshold], in ascending value order.  A NaN value is at least no
+    threshold, and a NaN threshold answers []. *)
 
 val iceberg_range :
   ?strategy:[ `Filter | `Mark ] ->

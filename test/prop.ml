@@ -47,7 +47,7 @@ let make_case ~seed ~n_rows =
 
 let print_case c =
   let row (cell, m) =
-    Printf.sprintf "(%s)=%g"
+    Printf.sprintf "(%s)=%.17g"
       (String.concat "," (Array.to_list (Array.map string_of_int cell)))
       m
   in
@@ -67,6 +67,16 @@ let gen_case =
 let shrink_case c = QCheck.Iter.map (fun rows -> { c with rows }) (QCheck.Shrink.list c.rows)
 
 let arb_case = QCheck.make ~print:print_case ~shrink:shrink_case gen_case
+
+(* The same cases with measures drawn as doubles in [-20, 20) from the
+   seed.  Integer measures sum exactly in any order; these do not, so an
+   aggregate folded in another order than the rows' shows in the last bits. *)
+let with_float_measures c =
+  let rng = Qc_util.Rng.create (c.seed lxor 0xF107) in
+  { c with rows = List.map (fun (cell, _) -> (cell, Qc_util.Rng.float rng 40.0 -. 20.0)) c.rows }
+
+let arb_float_case =
+  QCheck.make ~print:print_case ~shrink:shrink_case (QCheck.Gen.map with_float_measures gen_case)
 
 (* Every dimension value is pre-registered so queries may mention values no
    tuple carries (they must answer None, not crash). *)

@@ -115,22 +115,90 @@ let test_table_cover_agg () =
   let empty = Table.cover_agg t (c [ 2; 0; 1 ]) in
   Alcotest.(check int) "empty cover" 0 empty.Agg.count
 
+(* One [Table.partition] call checked against its contract: the groups tile
+   [lo, hi) in increasing value order, hold every source row once, keep
+   the source order within a group, and nothing outside [dst.(lo..hi-1)]
+   is written. *)
+let check_partition t src ~lo ~hi ~dim =
+  let src_before = Array.copy src in
+  let sentinel = -7 in
+  let dst = Array.make (Array.length src) sentinel in
+  let groups = ref [] in
+  Table.partition t ~src ~dst ~lo ~hi ~dim (fun v glo ghi -> groups := (v, glo, ghi) :: !groups);
+  let groups = List.rev !groups in
+  Alcotest.(check (array int)) "source untouched" src_before src;
+  Array.iteri
+    (fun i x -> if i < lo || i >= hi then Alcotest.(check int) "dst outside [lo, hi)" sentinel x)
+    dst;
+  let key row = (Table.tuple t row).(dim) in
+  let pos = Array.make (Table.n_rows t) (-1) in
+  for i = lo to hi - 1 do
+    pos.(src.(i)) <- i
+  done;
+  let next = ref lo and last = ref None in
+  List.iter
+    (fun (v, glo, ghi) ->
+      Alcotest.(check int) "contiguous" !next glo;
+      Alcotest.(check bool) "non-empty" true (ghi > glo);
+      (match !last with
+      | Some u -> Alcotest.(check bool) "ascending values" true (u < v)
+      | None -> ());
+      for i = glo to ghi - 1 do
+        Alcotest.(check int) "grouped" v (key dst.(i));
+        if i > glo then
+          Alcotest.(check bool) "source order kept" true
+            (pos.(dst.(i - 1)) < pos.(dst.(i)))
+      done;
+      next := ghi;
+      last := Some v)
+    groups;
+  Alcotest.(check int) "covers the slice" hi !next;
+  let sorted a = List.sort Int.compare (Array.to_list a) in
+  Alcotest.(check (list int)) "every row once"
+    (sorted (Array.sub src lo (hi - lo)))
+    (sorted (Array.sub dst lo (hi - lo)));
+  groups
+
+(* A table whose first dimension holds [codes]; [Table.add_encoded] takes
+   codes the dictionary never saw. *)
+let codes_table codes =
+  let t = Table.create (Schema.create [ "A"; "B" ]) in
+  Array.iteri (fun i code -> Table.add_encoded t (c [ code; 1 + (i mod 3) ]) (float_of_int i)) codes;
+  t
+
 let test_table_partition () =
   let rng = Qc_util.Rng.create 3 in
   let t = Helpers.random_table rng ~dims:3 ~card:4 ~rows:40 () in
   let idx = Table.all_indices t in
-  let groups = Table.partition_by_dim t idx ~lo:0 ~hi:40 ~dim:1 in
-  (* groups are contiguous, ordered, and exhaustive *)
-  let total = List.fold_left (fun acc (_, lo, hi) -> acc + (hi - lo)) 0 groups in
-  Alcotest.(check int) "exhaustive" 40 total;
-  let values = List.map (fun (v, _, _) -> v) groups in
-  Alcotest.(check (list int)) "sorted values" (List.sort Int.compare values) values;
-  List.iter
-    (fun (v, lo, hi) ->
-      for i = lo to hi - 1 do
-        Alcotest.(check int) "grouped" v (Table.tuple t idx.(i)).(1)
-      done)
-    groups
+  (* counting sort: 40 rows over 4 values *)
+  let groups = check_partition t idx ~lo:0 ~hi:40 ~dim:1 in
+  Alcotest.(check bool) "several groups" true (List.length groups > 1);
+  (* a sub-slice of a shuffled index array: stability is relative to the
+     source order, not to row numbers *)
+  let shuffled = Array.copy idx in
+  Qc_util.Rng.shuffle rng shuffled;
+  ignore (check_partition t shuffled ~lo:5 ~hi:35 ~dim:0);
+  (* insertion sort: at most 16 rows *)
+  ignore (check_partition t shuffled ~lo:3 ~hi:15 ~dim:2);
+  ignore (check_partition t shuffled ~lo:7 ~hi:8 ~dim:2);
+  Alcotest.(check int) "empty slice has no groups" 0
+    (List.length (check_partition t shuffled ~lo:9 ~hi:9 ~dim:0));
+  (* merge sort: 30 rows spread over a value range far above 4 x 30, with
+     repeated values and codes the dictionary never saw *)
+  let spread =
+    Array.init 30 (fun i -> match i mod 5 with 0 -> 1 | 1 -> 1_000_000 | 2 -> 500 | 3 -> max_int | _ -> 3)
+  in
+  let ts = codes_table spread in
+  let all = Table.all_indices ts in
+  Qc_util.Rng.shuffle rng all;
+  let groups = check_partition ts all ~lo:0 ~hi:30 ~dim:0 in
+  Alcotest.(check (list int)) "spread values" [ 1; 3; 500; 1_000_000; max_int ]
+    (List.map (fun (v, _, _) -> v) groups);
+  (* counting sort over unseen codes in a narrow window far from 0, and a
+     window next to max_int, where the range test must not overflow *)
+  let whole codes = check_partition (codes_table codes) (Array.init 40 Fun.id) ~lo:0 ~hi:40 ~dim:0 in
+  ignore (whole (Array.init 40 (fun i -> 5_000_000 + (i * 7 mod 23))));
+  ignore (whole (Array.init 40 (fun i -> max_int - (i mod 6))))
 
 let test_table_remove_append () =
   let t = Helpers.sales_table () in

@@ -53,6 +53,30 @@ let prop_point_differential c =
       if not (agg_opt_equal (Full_cube.find cube_ms cell) expected_ms) then ok := false);
   !ok
 
+(* Exactness: every partition a fresh build folds is in ascending row
+   order, so every full-cube cell, every class and every fresh-tree or
+   Dwarf point answer is bit-for-bit the fold [Table.cover_agg] computes —
+   with float measures, whose sums depend on the order they are added in. *)
+let prop_row_order_fold c =
+  let table, tree, _ = build c in
+  let cube = Full_cube.compute table in
+  let dwarf = Qc_dwarf.Dwarf.build table in
+  let exact agg cell = Agg.equal agg (Table.cover_agg table cell) in
+  let same a b =
+    match (a, b) with
+    | Some a, Some b -> Agg.equal a b
+    | None, None -> true
+    | Some _, None | None, Some _ -> false
+  in
+  let ok = ref true in
+  Full_cube.iter (fun cell agg -> if not (exact agg cell) then ok := false) cube;
+  T.iter_classes (fun _ ub agg -> if not (exact agg ub) then ok := false) tree;
+  Prop.iter_cells c (fun cell ->
+      let truth = Full_cube.find cube cell in
+      if not (same (point_opt tree cell) truth && same (Qc_dwarf.Dwarf.point dwarf cell) truth) then
+        ok := false);
+  !ok
+
 (* identical node-access counts on every cell of the space *)
 let prop_node_access_parity c =
   let _, tree, packed = build c in
@@ -146,6 +170,9 @@ let () =
         [
           Prop.qcheck_case ~count:220 ~name:"point queries match the full cube (tree and packed)"
             Prop.arb_case prop_point_differential;
+          Prop.qcheck_case ~count:200
+            ~name:"fresh aggregates are the row-order fold, bit for bit (float measures)"
+            Prop.arb_float_case prop_row_order_fold;
           Prop.qcheck_case ~count:220 ~name:"packed point queries touch exactly as many nodes"
             Prop.arb_case prop_node_access_parity;
           Prop.qcheck_case ~count:200 ~name:"range queries match the oracle (tree and packed)"

@@ -195,6 +195,37 @@ let test_bytes_accounting () =
   (* 10 non-root nodes, 5 links, 6 classes under the 4/4/8 model. *)
   Alcotest.(check int) "bytes" ((10 * 8) + (5 * 8) + (6 * 8)) (T.bytes tree)
 
+(* Algorithm 1's work on two seeded tables, pinned: how a slice is grouped
+   must not change which cells the DFS visits, opens, jumps or prunes, nor
+   the tree it yields. *)
+let check_dfs_work name table ~visits ~partitions ~jumps ~prunes ~nodes ~links ~classes =
+  let module M = Qc_util.Metrics in
+  M.reset ();
+  M.set_enabled true;
+  let tree = Fun.protect ~finally:(fun () -> M.set_enabled false) (fun () -> T.of_table table) in
+  let value counter = M.value (M.counter counter) in
+  List.iter
+    (fun (what, want, got) -> Alcotest.(check int) (name ^ " " ^ what) want got)
+    [
+      ("dfs.visits", visits, value "dfs.visits");
+      ("dfs.partitions_opened", partitions, value "dfs.partitions_opened");
+      ("dfs.upper_bound_jumps", jumps, value "dfs.upper_bound_jumps");
+      ("dfs.prunes", prunes, value "dfs.prunes");
+      ("nodes", nodes, T.n_nodes tree);
+      ("links", links, T.n_links tree);
+      ("classes", classes, T.n_classes tree);
+    ]
+
+let test_dfs_work_pinned () =
+  check_dfs_work "weather"
+    (Qc_data.Weather.generate { Qc_data.Weather.rows = 3000; scale = 0.02; seed = 7 })
+    ~visits:35101 ~partitions:35100 ~jumps:26645 ~prunes:11316 ~nodes:32096 ~links:11316
+    ~classes:23785;
+  check_dfs_work "synthetic"
+    (Qc_data.Synthetic.generate { Qc_data.Synthetic.default with rows = 5000; dims = 6; seed = 42 })
+    ~visits:32751 ~partitions:32750 ~jumps:46360 ~prunes:19320 ~nodes:18091 ~links:19320
+    ~classes:13431
+
 let () =
   Alcotest.run "qc_tree"
     [
@@ -221,4 +252,6 @@ let () =
           Alcotest.test_case "node_cell/find_path" `Quick test_node_cell_roundtrip;
           Alcotest.test_case "byte accounting" `Quick test_bytes_accounting;
         ] );
+      ( "work",
+        [ Alcotest.test_case "Algorithm 1 counters and tree size pinned" `Quick test_dfs_work_pinned ] );
     ]

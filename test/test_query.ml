@@ -136,6 +136,82 @@ let prop_iceberg_range_strategies_agree =
       norm (Q.iceberg_range ~strategy:`Filter tree idx q ~threshold)
       = norm (Q.iceberg_range ~strategy:`Mark tree idx q ~threshold))
 
+(* Four rows, two with a NaN measure: every class over an x row has a NaN
+   SUM.  Such a class is at least no threshold, and a NaN threshold keeps
+   nothing — the rule the packed index follows. *)
+let nan_table () =
+  let schema = Schema.create [ "A"; "B" ] in
+  let table = Table.create schema in
+  Table.add_row table [ "x"; "p" ] nan;
+  Table.add_row table [ "x"; "q" ] nan;
+  Table.add_row table [ "y"; "q" ] 1.0;
+  Table.add_row table [ "z"; "r" ] 10.0;
+  table
+
+let show_answers schema answers =
+  List.map
+    (fun (c, a) -> Printf.sprintf "%s=%g" (Cell.to_string schema c) (Agg.value Agg.Sum a))
+    answers
+
+let test_iceberg_nan () =
+  let table = nan_table () in
+  let schema = Table.schema table in
+  let tree = T.of_table table in
+  let idx = Q.make_index tree Agg.Sum in
+  let check name expected threshold =
+    Alcotest.(check (list string)) name expected (show_answers schema (Q.iceberg idx ~threshold))
+  in
+  check "sum >= 5" [ "(z, r)=10" ] 5.0;
+  check "sum >= -inf, ascending" [ "(y, q)=1"; "(z, r)=10" ] neg_infinity;
+  check "sum >= 10" [ "(z, r)=10" ] 10.0;
+  check "sum >= 11" [] 11.0;
+  check "NaN threshold" [] nan;
+  (* the packed iceberg of the served path gives the same answers *)
+  let packed = Qc_core.Packed.of_tree tree in
+  List.iter
+    (fun threshold ->
+      match Qc_core.Engine.Packed_backend.iceberg packed Agg.Sum ~threshold with
+      | Ok got ->
+        let sort = List.sort String.compare in
+        Alcotest.(check (list string))
+          (Printf.sprintf "packed agrees at %g" threshold)
+          (sort (show_answers schema (Q.iceberg idx ~threshold)))
+          (sort (show_answers schema got))
+      | Error _ -> Alcotest.fail "packed iceberg failed")
+    [ neg_infinity; 0.0; 1.0; 5.0; 10.0; nan ];
+  (* COUNT has no NaN: every class with two rows qualifies *)
+  Alcotest.(check (list string)) "count >= 2" [ "(*, *)"; "(*, q)"; "(x, *)" ]
+    (List.sort String.compare
+       (List.map (fun (c, _) -> Cell.to_string schema c)
+          (Q.iceberg (Q.make_index tree Agg.Count) ~threshold:2.0)))
+
+let test_iceberg_range_nan () =
+  let table = nan_table () in
+  let schema = Table.schema table in
+  let tree = T.of_table table in
+  let idx = Q.make_index tree Agg.Sum in
+  let enc i v = Schema.encode_value schema i v in
+  let every_cell = [| Array.map (enc 0) [| "x"; "y"; "z" |]; Array.map (enc 1) [| "p"; "q"; "r" |] |] in
+  let b_only = [| [||]; Array.map (enc 1) [| "q"; "r" |] |] in
+  List.iter
+    (fun (q, threshold, expected) ->
+      List.iter
+        (fun (name, strategy) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s at %g" name threshold)
+            expected
+            (List.sort String.compare
+               (show_answers schema (Q.iceberg_range ~strategy tree idx q ~threshold))))
+        [ ("filter", `Filter); ("mark", `Mark) ])
+    [
+      (every_cell, 5.0, [ "(z, r)=10" ]);
+      (every_cell, neg_infinity, [ "(y, q)=1"; "(z, r)=10" ]);
+      (every_cell, nan, []);
+      (b_only, neg_infinity, [ "(*, r)=10" ]);
+      (b_only, 0.5, [ "(*, r)=10" ]);
+      (b_only, nan, []);
+    ]
+
 (* ---------- Against the materialized full cube on a bigger instance ---------- *)
 
 let test_against_full_cube_bigger () =
@@ -207,6 +283,11 @@ let () =
           prop_iceberg_complete;
           prop_iceberg_range_strategies_agree;
           prop_node_accesses_bounded;
+        ] );
+      ( "iceberg",
+        [
+          Alcotest.test_case "NaN never qualifies" `Quick test_iceberg_nan;
+          Alcotest.test_case "range strategies skip NaN" `Quick test_iceberg_range_nan;
         ] );
       ( "scale",
         [ Alcotest.test_case "against materialized cube" `Quick test_against_full_cube_bigger ] );
